@@ -58,7 +58,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Which constructs the A-stream skips or executes — mirrors
 /// `slipstream`'s per-construct A-stream policy so the analyzer models
 /// the same execution the engine performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SkipModel {
     /// A-stream skips `single` bodies.
     pub skip_single: bool,
@@ -107,7 +107,7 @@ pub enum GateMode {
 
 /// Analyzer configuration: machine shape, slipstream defaults, skip
 /// model, and resource budgets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AnalyzeConfig {
     /// Modeled team size (one thread pair per CMP in the paper machine).
     pub num_threads: u64,

@@ -19,7 +19,7 @@ pub struct VarId(pub u32);
 pub struct TableId(pub u32);
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Wrapping addition.
     Add,
@@ -38,7 +38,7 @@ pub enum BinOp {
 }
 
 /// An integer expression tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Literal constant.
     Const(i64),

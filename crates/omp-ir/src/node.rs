@@ -15,7 +15,7 @@
 use crate::expr::{Expr, TableId, VarId};
 
 /// A declared array (a contiguous region of simulated memory).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayDecl {
     /// Diagnostic name.
     pub name: String,
@@ -33,7 +33,7 @@ pub struct ArrayDecl {
 pub struct ArrayId(pub u32);
 
 /// OpenMP worksharing schedule kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleKind {
     /// Blocked static assignment computed independently by each thread.
     Static,
@@ -51,7 +51,7 @@ pub enum ScheduleKind {
 }
 
 /// A schedule clause: kind plus optional chunk size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScheduleSpec {
     /// The schedule kind.
     pub kind: ScheduleKind,
@@ -95,7 +95,7 @@ impl ScheduleSpec {
 
 /// Reduction operators (only the access pattern matters to the simulator,
 /// but the operator is kept for fidelity and reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReductionOp {
     /// `reduction(+: x)`
     Sum,
@@ -107,7 +107,7 @@ pub enum ReductionOp {
 
 /// A reduction clause on a worksharing loop: each thread accumulates
 /// privately during the loop, then combines into the shared target cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Reduction {
     /// The operator.
     pub op: ReductionOp,
@@ -118,7 +118,7 @@ pub struct Reduction {
 }
 
 /// Synchronization type of the `SLIPSTREAM` directive (paper Section 3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlipSyncType {
     /// Token inserted when the R-stream *exits* a barrier (globally
     /// synchronized A-stream).
@@ -133,7 +133,7 @@ pub enum SlipSyncType {
 }
 
 /// A `!$OMP SLIPSTREAM([type][, tokens])` clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlipstreamClause {
     /// Synchronization type; the paper's implementation defaults to global.
     pub sync: SlipSyncType,
@@ -151,7 +151,7 @@ impl Default for SlipstreamClause {
 }
 
 /// One node of the kernel IR.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Node {
     /// Execute children in order.
     Seq(Vec<Node>),
@@ -334,7 +334,7 @@ impl Node {
 }
 
 /// A complete program: declarations plus the serial body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Diagnostic name (benchmark name).
     pub name: String,

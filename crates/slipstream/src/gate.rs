@@ -9,12 +9,110 @@
 //! the simulation proceeds exactly as before, bit-identical to an
 //! ungated run. [`GateMode::Deny`] refuses to run programs with
 //! deny-severity findings (data races, unbalanced synchronization).
+//!
+//! A report depends only on the program and the [`AnalyzeConfig`], so
+//! each distinct pair is analyzed once per process: [`analysis`] keeps
+//! the reports in a bounded cache keyed by the full pair (a hash picks
+//! the candidates, equality confirms the hit). Runs of one program under
+//! several modes, and warm re-runs, reuse the first report.
+
+use std::collections::VecDeque;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::policy::{AAction, AStreamPolicy};
 use dsm_sim::MachineConfig;
 use omp_analyze::{analyze, AnalysisReport, AnalyzeConfig, GateMode, SkipModel};
 use omp_ir::node::Program;
 use omp_rt::mode::SlipSync;
+
+/// Most (program, config) reports the cache holds; the least recently
+/// used entry is dropped to make room, so a daemon fed a stream of
+/// distinct inline programs stays bounded.
+pub const CACHE_CAPACITY: usize = 64;
+
+/// One cached analysis. The report is filled outside the cache lock by
+/// the first caller; concurrent callers for the same key wait on the
+/// `OnceLock` instead of analyzing again.
+struct Entry {
+    hash: u64,
+    program: Program,
+    cfg: AnalyzeConfig,
+    report: OnceLock<AnalysisReport>,
+}
+
+struct Cache {
+    /// Least recently used first.
+    entries: VecDeque<Arc<Entry>>,
+    hits: u64,
+    misses: u64,
+}
+
+static CACHE: Mutex<Cache> = Mutex::new(Cache {
+    entries: VecDeque::new(),
+    hits: 0,
+    misses: 0,
+});
+
+/// Counters of the process-wide report cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered by an existing entry.
+    pub hits: u64,
+    /// Lookups that created an entry (each analyzes once).
+    pub misses: u64,
+    /// Entries held now (at most [`CACHE_CAPACITY`]).
+    pub entries: usize,
+}
+
+/// Snapshot of the report cache's counters.
+pub fn cache_stats() -> CacheStats {
+    let c = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+    CacheStats {
+        hits: c.hits,
+        misses: c.misses,
+        entries: c.entries.len(),
+    }
+}
+
+/// The analyzer's report for `program` under `cfg`, computed at most once
+/// per distinct pair while the pair stays cached. Identical to a fresh
+/// [`analyze`] call.
+pub fn analysis(program: &Program, cfg: &AnalyzeConfig) -> AnalysisReport {
+    let mut h = DefaultHasher::new();
+    (program, cfg).hash(&mut h);
+    let hash = h.finish();
+    let entry = {
+        // Nothing under the lock can panic between updates (analysis runs
+        // after it is released), so a poisoned cache is still consistent.
+        let mut c = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+        let found = c
+            .entries
+            .iter()
+            .position(|e| e.hash == hash && e.cfg == *cfg && e.program == *program);
+        let entry = match found {
+            Some(i) => {
+                c.hits += 1;
+                c.entries.remove(i).expect("position is in range")
+            }
+            None => {
+                c.misses += 1;
+                if c.entries.len() == CACHE_CAPACITY {
+                    c.entries.pop_front();
+                }
+                Arc::new(Entry {
+                    hash,
+                    program: program.clone(),
+                    cfg: cfg.clone(),
+                    report: OnceLock::new(),
+                })
+            }
+        };
+        c.entries.push_back(Arc::clone(&entry));
+        entry
+    };
+    entry.report.get_or_init(|| analyze(program, cfg)).clone()
+}
 
 /// Derive the analyzer's construct skip model from the engine's
 /// [`AStreamPolicy`] so both tools agree on what the A-stream executes.
@@ -57,7 +155,8 @@ pub fn analyze_config(
 /// Returns `Ok(None)` for [`GateMode::Allow`] (analysis skipped),
 /// `Ok(Some(report))` when analysis ran and the program may proceed, and
 /// `Err` with the rendered report when [`GateMode::Deny`] blocks the
-/// run.
+/// run. The report comes from [`analysis`], so a cached report gates
+/// exactly as a fresh one would.
 pub fn gate_program(
     program: &Program,
     gate: GateMode,
@@ -66,7 +165,7 @@ pub fn gate_program(
     if gate == GateMode::Allow {
         return Ok(None);
     }
-    let report = analyze(program, cfg);
+    let report = analysis(program, cfg);
     if gate == GateMode::Deny && report.deny_count() > 0 {
         return Err(format!(
             "slipstream gate: refusing to run `{}` with {} deny-severity finding(s)\n{}",

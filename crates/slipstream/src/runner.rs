@@ -7,7 +7,7 @@
 use crate::compile::{compile, CompiledProgram};
 use crate::exec::{Engine, EngineConfig, EngineMutation, RunResult};
 use crate::faults::FaultPlan;
-use crate::gate::{analyze_config, gate_program};
+use crate::gate::{analysis, analyze_config, gate_program};
 use crate::health::HealthPolicy;
 use crate::policy::{AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{AddressMap, Cycle, FillCounts, MachineConfig, TimeBreakdown, TimeClass};
@@ -48,12 +48,13 @@ pub struct RunOptions {
     pub os_noise: Option<crate::exec::OsNoise>,
     /// Structured event tracing (observation-only; off by default).
     pub trace: TraceConfig,
-    /// Slipstream-safety gate. The default, [`GateMode::Warn`], runs the
-    /// `omp-analyze` static analyzer before the simulation and attaches
-    /// the report to the summary without affecting the run (stats stay
-    /// bit-identical to an ungated run). [`GateMode::Deny`] refuses to
-    /// run programs with deny-severity findings; [`GateMode::Allow`]
-    /// skips analysis entirely.
+    /// Slipstream-safety gate. The default, [`GateMode::Warn`], attaches
+    /// the `omp-analyze` static analyzer's report to the summary without
+    /// affecting the run (stats stay bit-identical to an ungated run).
+    /// Analysis runs once per distinct (program, analyzer config) per
+    /// process; later runs take the report from a bounded cache (see
+    /// [`crate::gate`]). [`GateMode::Deny`] refuses to run programs with
+    /// deny-severity findings; [`GateMode::Allow`] skips the gate.
     pub gate: GateMode,
     /// Simulated-cycle budget override. `None` keeps the engine's default
     /// (effectively unbounded for kernels of sane size); `Some(n)` makes
@@ -286,16 +287,16 @@ fn mode_label(mode: ExecMode, sync: Option<SlipSync>) -> String {
 /// ```
 pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, String> {
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
-    let analysis = gate_program(program, opts.gate, &acfg)?;
+    let report = gate_program(program, opts.gate, &acfg)?;
     let map = AddressMap::new(&opts.machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
     // Memoized replay needs the certification pass's replay-loop licenses;
-    // when the gate skipped analysis ([`GateMode::Allow`]), run it here
-    // just for the plan.
+    // when the gate skipped analysis ([`GateMode::Allow`]), look the
+    // report up here just for the plan.
     let memo = if opts.memo {
-        match &analysis {
+        match &report {
             Some(report) => crate::memo::build_plan(report, &cp),
-            None => crate::memo::build_plan(&omp_analyze::analyze(program, &acfg), &cp),
+            None => crate::memo::build_plan(&analysis(program, &acfg), &cp),
         }
     } else {
         crate::MemoPlan::default()
@@ -305,7 +306,7 @@ pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, S
     cfg.memo = memo;
     let raw = Engine::new(&cp, cfg).run()?;
     let mut summary = summarize(program.name.clone(), label, raw);
-    summary.analysis = analysis;
+    summary.analysis = report;
     Ok(summary)
 }
 
