@@ -37,9 +37,7 @@ fn main() {
     let addr = env::string_or("SERVE_ADDR", "127.0.0.1:0");
     let opts = ServeOptions {
         // Daemon workers are the process's job-level parallelism, so
-        // they answer to the pool's worker bound (BENCH_WORKERS); the
-        // per-job PDES engine threads are clamped separately by
-        // `pool::engine_workers` inside the runner.
+        // they answer to the pool's worker bound (BENCH_WORKERS).
         workers: env::get_or("SERVE_WORKERS", 2).clamp(1, pool::worker_bound()),
         cache_cap: env::get_or("SERVE_CACHE_CAP", 256),
         cache_dir: env::path("SERVE_CACHE_DIR"),

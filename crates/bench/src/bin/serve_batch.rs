@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use bench::serve::{BenchRunner, SuiteRow};
-use bench::{env, pool, small_machine, STATIC_MODES};
+use bench::{env, small_machine, STATIC_MODES};
 use npb_kernels::Benchmark;
 use omp_rt::RuntimeEnv;
 use sim_serve::{Client, ServeOptions, Server};
@@ -39,7 +39,7 @@ use slipstream::runner::{run_program, RunOptions};
 fn spec(bench: &str, mode: &str, extra: &str) -> String {
     format!(
         "{{\"kind\":\"run\",\"bench\":\"{bench}\",\"preset\":\"tiny\",\
-         \"machine\":\"small\",\"mode\":\"{mode}\",\"workers\":1{extra}}}"
+         \"machine\":\"small\",\"mode\":\"{mode}\"{extra}}}"
     )
 }
 
@@ -49,9 +49,7 @@ fn direct_row(bench: Benchmark, label: &str) -> SuiteRow {
         .iter()
         .find(|(l, _, _)| *l == label)
         .expect("known mode label");
-    let mut o = RunOptions::new(mode)
-        .with_machine(small_machine())
-        .with_workers(pool::engine_workers(1));
+    let mut o = RunOptions::new(mode).with_machine(small_machine());
     o.sync = sync;
     o.env = RuntimeEnv::default();
     let s = run_program(&bench.build_tiny(), &o).expect("direct run");

@@ -260,18 +260,13 @@ fn check_ledger(r: &RunSummary) -> Result<(), String> {
 
 fn run_scenario(s: &Scenario, programs: &[(Program, TraceSummary)]) -> Result<Tally, String> {
     let (program, oracle) = &programs[s.program_idx];
-    // Engine workers come from SIM_WORKERS, clamped by the pool guard so
-    // scenarios running on every pool worker never oversubscribe the
-    // host (results are bit-identical at any worker count regardless).
-    let workers = env::get("SIM_WORKERS").map_or(1, pool::engine_workers);
     let opts = RunOptions::new(ExecMode::Slipstream)
         .with_machine(machine(s.team as usize))
         .with_sync(s.sync)
         .with_faults(s.plan.clone())
         .with_recovery(s.recovery)
         .with_health(s.health)
-        .with_trace(TraceConfig::on())
-        .with_workers(workers);
+        .with_trace(TraceConfig::on());
     let r = run_program(program, &opts).map_err(|e| format!("run failed: {e}"))?;
     if r.exec_cycles > CYCLE_BUDGET {
         return Err(format!(
@@ -328,8 +323,8 @@ fn cross_check_daemon(addr: &str, seed_base: u64) {
         let seed = seed_base + 0x50AC + k as u64;
         let spec = format!(
             "{{\"kind\":\"run\",\"program_json\":\"{}\",\"machine\":\"small\",\
-             \"mode\":\"slip-G0\",\"workers\":1,\
-             \"fault_seed\":{seed},\"fault_team\":{TEAM},\"fault_events\":4}}",
+             \"mode\":\"slip-G0\",\"fault_seed\":{seed},\"fault_team\":{TEAM},\
+             \"fault_events\":4}}",
             sim_serve::proto::esc(&omp_ir::program_to_json(&program)),
         );
         let (_, payload) = client
@@ -339,8 +334,7 @@ fn cross_check_daemon(addr: &str, seed_base: u64) {
         let opts = RunOptions::new(ExecMode::Slipstream)
             .with_machine(machine(TEAM as usize))
             .with_sync(SlipSync::G0)
-            .with_faults(FaultPlan::random(seed, TEAM, 4))
-            .with_workers(pool::engine_workers(1));
+            .with_faults(FaultPlan::random(seed, TEAM, 4));
         let local = run_program(&program, &opts).expect("local cross-check run");
         assert_eq!(
             row.fingerprint,

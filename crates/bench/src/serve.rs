@@ -16,7 +16,7 @@
 //!
 //! ```json
 //! {"kind":"run","bench":"cg","preset":"paper","machine":"paper",
-//!  "mode":"slip-G0","workers":1,"trace":false,
+//!  "mode":"slip-G0","trace":false,
 //!  "fault_seed":0,"fault_team":0,"fault_events":0,
 //!  "warm_cycles":0,"warm_share":true,"nocache":false}
 //! ```
@@ -50,12 +50,12 @@ use slipstream::faults::FaultPlan;
 use slipstream::runner::{checkpoint_program, resume_program, run_program, RunOptions};
 use slipstream::RunSummary;
 
-use crate::{dynamic_program, pool, small_machine, summary_fingerprint};
+use crate::{dynamic_program, small_machine, summary_fingerprint};
 
 /// Canonical config-string version prefix. Bump when the spec
 /// vocabulary changes meaning, so stale disk-cache entries from an
 /// older daemon can never alias a new config.
-pub const SPEC_VERSION: &str = "v1";
+pub const SPEC_VERSION: &str = "v2";
 
 /// One run result as exact integers — everything the figure tables and
 /// `RunRecord`s derive from a [`RunSummary`], in a form that survives a
@@ -229,7 +229,6 @@ struct RunSpec {
     preset: String,
     machine: String,
     mode: String,
-    workers: u64,
     trace: bool,
     fault_seed: u64,
     fault_team: u64,
@@ -265,7 +264,6 @@ impl RunSpec {
             preset: spec_str(spec, "preset", "paper").to_string(),
             machine: spec_str(spec, "machine", "paper").to_string(),
             mode: spec_str(spec, "mode", "single").to_string(),
-            workers: spec_u64(spec, "workers", 1),
             trace: spec_bool(spec, "trace", false),
             fault_seed: spec_u64(spec, "fault_seed", 0),
             fault_team: spec_u64(spec, "fault_team", 0),
@@ -288,16 +286,17 @@ impl RunSpec {
 
     /// The canonical config string. Field order is fixed and every
     /// field is present, so any single semantic change (preset, mode,
-    /// trace flag, workers, fault plan, warm boundary) changes the key.
+    /// trace flag, fault plan, warm boundary) changes the key. Fields
+    /// outside the vocabulary (such as the retired `workers`) are
+    /// ignored, so they never split the cache.
     fn canonical_key(&self) -> String {
         format!(
-            "{SPEC_VERSION}|kind=run|prog={}|preset={}|machine={}|mode={}|workers={}|trace={}|\
-             fault={}/{}/{}|warm={}|share={}",
+            "{SPEC_VERSION}|kind=run|prog={}|preset={}|machine={}|mode={}|trace={}|fault={}/{}/{}|\
+             warm={}|share={}",
             self.prog_token(),
             self.preset,
             self.machine,
             self.mode,
-            self.workers,
             u8::from(self.trace),
             self.fault_seed,
             self.fault_team,
@@ -311,12 +310,11 @@ impl RunSpec {
     /// from: the config key minus the fault plan and sharing knobs.
     fn warm_key(&self) -> String {
         format!(
-            "{SPEC_VERSION}|warm|prog={}|preset={}|machine={}|mode={}|workers={}|trace={}|warm={}",
+            "{SPEC_VERSION}|warm|prog={}|preset={}|machine={}|mode={}|trace={}|warm={}",
             self.prog_token(),
             self.preset,
             self.machine,
             self.mode,
-            self.workers,
             u8::from(self.trace),
             self.warm_cycles,
         )
@@ -360,7 +358,6 @@ impl RunSpec {
         let (mode, sync) = parse_mode(&self.mode)?;
         let mut o = RunOptions::new(mode)
             .with_machine(self.build_machine()?)
-            .with_workers(pool::engine_workers(self.workers as usize))
             .with_faults(faults);
         o.sync = sync;
         o.env = RuntimeEnv::default();
@@ -372,9 +369,7 @@ impl RunSpec {
 }
 
 /// The slipstream [`JobRunner`]: executes `run` and `analyze` specs.
-/// Holds the shared warm-start snapshot store; engine worker requests
-/// are clamped through [`pool::engine_workers`] so daemon workers ×
-/// engine workers never oversubscribe the host.
+/// Holds the shared warm-start snapshot store.
 #[derive(Default)]
 pub struct BenchRunner {
     snapshots: Mutex<HashMap<String, Arc<Vec<u8>>>>,
@@ -499,14 +494,13 @@ impl JobRunner for BenchRunner {
 
 /// Build the spec JSON for one suite run (the client side of the
 /// vocabulary [`RunSpec::parse`] accepts).
-pub fn run_spec_json(bench: Benchmark, preset: &str, mode: &str, workers: usize) -> String {
+pub fn run_spec_json(bench: Benchmark, preset: &str, mode: &str) -> String {
     format!(
         "{{\"kind\":\"run\",\"bench\":\"{}\",\"preset\":\"{}\",\"machine\":\"paper\",\
-         \"mode\":\"{}\",\"workers\":{}}}",
+         \"mode\":\"{}\"}}",
         bench.name(),
         preset,
         mode,
-        workers,
     )
 }
 
@@ -524,7 +518,7 @@ pub fn suite_via_daemon(
     let mut ids = Vec::new();
     for bm in programs {
         for (label, _, _) in modes {
-            let ack = client.submit(&run_spec_json(*bm, preset, label, 1), 0, None)?;
+            let ack = client.submit(&run_spec_json(*bm, preset, label), 0, None)?;
             ids.push(ack.id);
         }
     }
@@ -579,7 +573,7 @@ mod tests {
         // the same key.
         let explicit = parse(
             "{\"kind\":\"run\",\"bench\":\"cg\",\"preset\":\"paper\",\"machine\":\"paper\",\
-             \"mode\":\"single\",\"workers\":1,\"trace\":false,\"fault_seed\":0,\
+             \"mode\":\"single\",\"trace\":false,\"fault_seed\":0,\
              \"fault_team\":0,\"fault_events\":0,\"warm_cycles\":0}",
         )
         .unwrap();
@@ -590,7 +584,6 @@ mod tests {
             "{\"kind\":\"run\",\"bench\":\"cg\",\"preset\":\"tiny\"}",
             "{\"kind\":\"run\",\"bench\":\"cg\",\"machine\":\"small\"}",
             "{\"kind\":\"run\",\"bench\":\"cg\",\"mode\":\"slip-G0\"}",
-            "{\"kind\":\"run\",\"bench\":\"cg\",\"workers\":4}",
             "{\"kind\":\"run\",\"bench\":\"cg\",\"trace\":true}",
             "{\"kind\":\"run\",\"bench\":\"cg\",\"fault_seed\":1,\"fault_events\":2}",
             "{\"kind\":\"run\",\"bench\":\"cg\",\"warm_cycles\":1000}",
@@ -602,6 +595,10 @@ mod tests {
                 "{variant} must change the cache key"
             );
         }
+        // `workers` left the vocabulary: a spec that still carries it
+        // coalesces with one that does not instead of splitting the cache.
+        let legacy = parse("{\"kind\":\"run\",\"bench\":\"cg\",\"workers\":4}").unwrap();
+        assert_eq!(key, RunSpec::parse(&legacy).unwrap().canonical_key());
         // nocache opts out entirely.
         let v = parse("{\"kind\":\"run\",\"bench\":\"cg\",\"nocache\":true}").unwrap();
         assert!(BenchRunner::new().config_key(&v).unwrap().is_none());

@@ -15,7 +15,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use bench::serve::SuiteRow;
-use bench::{pool, small_machine, STATIC_MODES};
+use bench::{small_machine, STATIC_MODES};
 use npb_kernels::Benchmark;
 use omp_rt::RuntimeEnv;
 use sim_serve::Client;
@@ -26,7 +26,7 @@ use slipstream::runner::{run_program, RunOptions};
 fn spec(bench: &str, mode: &str) -> String {
     format!(
         "{{\"kind\":\"run\",\"bench\":\"{bench}\",\"preset\":\"tiny\",\
-         \"machine\":\"small\",\"mode\":\"{mode}\",\"workers\":1}}"
+         \"machine\":\"small\",\"mode\":\"{mode}\"}}"
     )
 }
 
@@ -36,9 +36,7 @@ fn direct_payload(bench: Benchmark, label: &str) -> String {
         .iter()
         .find(|(l, _, _)| *l == label)
         .expect("known mode label");
-    let mut o = RunOptions::new(mode)
-        .with_machine(small_machine())
-        .with_workers(pool::engine_workers(1));
+    let mut o = RunOptions::new(mode).with_machine(small_machine());
     o.sync = sync;
     o.env = RuntimeEnv::default();
     let s = run_program(&bench.build_tiny(), &o).expect("direct run");

@@ -16,7 +16,9 @@
 use bench::{small_machine, summary_fingerprint, STATIC_MODES};
 use npb_kernels::Benchmark;
 use omp_rt::RuntimeEnv;
+use slipstream::faults::FaultPlan;
 use slipstream::runner::{run_program, RunOptions};
+use slipstream::{HealthPolicy, OsNoise};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_tiny.txt");
 
@@ -96,17 +98,52 @@ fn golden_trace_parity() {
 #[test]
 fn golden_runs_are_repeatable_in_process() {
     // Two in-process runs of the same configuration must agree exactly
-    // (guards against any hidden global state in the fast paths).
+    // (guards against any hidden global state in the fast paths). Beyond
+    // the plain runs, every kernel and mode is repeated under the OS-noise
+    // model (interrupts fire on `now >= next_interrupt` mid-loop, the
+    // sharpest test of the batched stepper's bail checks) and under
+    // seeded fault storms with the adaptive health controller and
+    // breaker (divergence recovery reseeds a running A-stream from
+    // outside, the most interleaving-sensitive path in the engine).
     let machine = small_machine();
-    let program = Benchmark::Cg.build_tiny();
-    let (label, mode, sync) = STATIC_MODES[3];
-    let mut o = RunOptions::new(mode).with_machine(machine);
-    o.sync = sync;
-    let a = run_program(&program, &o).expect("run 1");
-    let b = run_program(&program, &o).expect("run 2");
-    assert_eq!(
-        summary_fingerprint(&a),
-        summary_fingerprint(&b),
-        "repeat {label} runs diverged"
-    );
+    let noise = OsNoise {
+        quantum_cycles: 10_000,
+        slice_cycles: 500,
+        seed: 7,
+    };
+    for bm in Benchmark::ALL {
+        let program = bm.build_tiny();
+        for (label, mode, sync) in STATIC_MODES {
+            let mut o = RunOptions::new(mode).with_machine(machine.clone());
+            o.sync = sync;
+            o.env = RuntimeEnv::default();
+            let mut inputs = vec![
+                ("plain".to_string(), o.clone()),
+                ("os-noise".to_string(), o.clone().with_os_noise(noise)),
+            ];
+            for seed in [1, 7, 23] {
+                let storm = o
+                    .clone()
+                    .with_faults(FaultPlan::random(seed, 4, 6))
+                    .with_health(HealthPolicy::adaptive());
+                inputs.push((format!("storm seed {seed}"), storm));
+            }
+            for (input, o) in inputs {
+                let a = run_program(&program, &o).expect("run 1");
+                let b = run_program(&program, &o).expect("run 2");
+                assert_eq!(
+                    summary_fingerprint(&a),
+                    summary_fingerprint(&b),
+                    "repeat {} {label} {input} runs diverged",
+                    bm.name()
+                );
+                assert_eq!(
+                    a.raw.pair_ledgers,
+                    b.raw.pair_ledgers,
+                    "repeat {} {label} {input} ledgers diverged",
+                    bm.name()
+                );
+            }
+        }
+    }
 }

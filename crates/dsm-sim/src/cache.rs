@@ -165,40 +165,6 @@ impl SetAssocCache {
         self.sets.iter().map(|s| s.len()).sum()
     }
 
-    /// Append the replacement-relevant state to a memo digest: per set,
-    /// the resident `(line, state)` pairs ordered most- to
-    /// least-recently used. The absolute `last_use` stamps and the LRU
-    /// clock are excluded — future hits and victim choices depend only
-    /// on the recency *order*, which `tick()`'s strictly increasing
-    /// stamps preserve across a time jump.
-    pub fn memo_digest(&self, out: &mut Vec<u64>) {
-        let mut order: Vec<&Way> = Vec::with_capacity(self.ways);
-        for set in &self.sets {
-            out.push(set.len() as u64);
-            order.clear();
-            order.extend(set.iter());
-            order.sort_unstable_by_key(|w| std::cmp::Reverse(w.last_use));
-            for w in &order {
-                out.push(w.line.0);
-                out.push(matches!(w.state, LineState::Modified) as u64);
-            }
-        }
-    }
-
-    /// Append the monotone counters to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        out.push(self.hits);
-        out.push(self.misses);
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        self.hits += delta[*idx] * k;
-        *idx += 1;
-        self.misses += delta[*idx] * k;
-        *idx += 1;
-    }
-
     /// Serialize the full cache state (geometry, LRU clock, every way in
     /// storage order, hit/miss counters).
     pub fn snapshot(&self, w: &mut snap::Writer) {

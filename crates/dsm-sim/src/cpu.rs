@@ -70,19 +70,6 @@ impl CpuTimeline {
         self.now = t;
     }
 
-    /// Jump the clock forward by `delta` without attributing the gap to
-    /// any time class — the memoized-replay jump, where the skipped
-    /// iterations' time is accounted separately as `k` copies of the
-    /// measured per-iteration breakdown. Unlike [`place_at`], this is
-    /// legal mid-run; span tracing must be off (memo never engages on a
-    /// traced run), so no span is recorded.
-    ///
-    /// [`place_at`]: CpuTimeline::place_at
-    pub fn memo_shift(&mut self, delta: Cycle) {
-        debug_assert!(self.spans.is_none(), "memo jump on a traced timeline");
-        self.now += delta;
-    }
-
     /// Start recording coalesced time-class spans into a log of at most
     /// `capacity` slices. `capacity == 0` leaves tracing off.
     pub fn enable_trace(&mut self, capacity: usize) {

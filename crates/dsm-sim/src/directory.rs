@@ -183,43 +183,6 @@ impl Directory {
         self.entries.len()
     }
 
-    /// Append the coherence-relevant state to a memo digest: non-Uncached
-    /// entries sorted by line address. Uncached entries (left behind by
-    /// [`Directory::evict_shared`] / [`Directory::writeback`]) are
-    /// behaviorally identical to absent ones and are excluded.
-    pub fn memo_digest(&self, out: &mut Vec<u64>) {
-        let mut entries: Vec<(u64, u64, u64)> = self
-            .entries
-            .iter()
-            .filter_map(|(l, s)| match s {
-                DirState::Uncached => None,
-                DirState::Shared(mask) => Some((l.0, 1, *mask)),
-                DirState::Modified(owner) => Some((l.0, 2, owner.0 as u64)),
-            })
-            .collect();
-        entries.sort_unstable();
-        out.push(entries.len() as u64);
-        for (l, tag, v) in entries {
-            out.push(l);
-            out.push(tag);
-            out.push(v);
-        }
-    }
-
-    /// Append the monotone counters to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        out.push(self.invalidations_sent);
-        out.push(self.three_hop_fetches);
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        self.invalidations_sent += delta[*idx] * k;
-        *idx += 1;
-        self.three_hop_fetches += delta[*idx] * k;
-        *idx += 1;
-    }
-
     /// Serialize the directory. Entries are written sorted by line address
     /// — `FastMap` iteration order is not deterministic, the snapshot must
     /// be.

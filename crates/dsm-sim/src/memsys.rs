@@ -68,18 +68,6 @@ pub struct MachineCounters {
     pub invalidations_sent: u64,
 }
 
-/// Where an access would be satisfied relative to the requesting CPU's
-/// CMP time domain (see [`MemSystem::access_locality`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessLocality {
-    /// Satisfied by the CPU's L1 or its node's L2 bank — stays inside
-    /// one PDES time domain.
-    Local,
-    /// Requires the directory, network, or another node's caches —
-    /// crosses the domain boundary and must commit in global event order.
-    Boundary,
-}
-
 /// Result of one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
@@ -643,38 +631,6 @@ impl MemSystem {
         }
     }
 
-    /// Classify, *without mutating any machine state*, whether an access
-    /// by `cpu` would complete inside its own CMP time domain (L1 hit, or
-    /// L2-bank hit in a sufficient state) or would cross the
-    /// directory/network boundary into other domains (upgrades, misses,
-    /// in-flight merges). The PDES layer uses this as a routing
-    /// diagnostic — the per-domain speedup ceiling is set by the fraction
-    /// of accesses that stay [`AccessLocality::Local`]. The peek is
-    /// conservative: anything that would touch the directory, another
-    /// node's caches, or an MSHR entry is [`AccessLocality::Boundary`].
-    pub fn access_locality(&self, cpu: CpuId, addr: Addr, kind: AccessKind) -> AccessLocality {
-        let line = self.map.line_of(addr);
-        let cmp = cpu.cmp(&self.cfg);
-        let needs_m = kind != AccessKind::Load;
-        match self.l1[cpu.0].peek(line) {
-            Some(_) if !needs_m => return AccessLocality::Local,
-            Some(_) => {
-                // A store on an L1 hit is still local only when the CMP's
-                // L2 bank already owns the line.
-                if self.l2[cmp.0].peek(line) == Some(LineState::Modified) {
-                    return AccessLocality::Local;
-                }
-                return AccessLocality::Boundary;
-            }
-            None => {}
-        }
-        match self.l2[cmp.0].peek(line) {
-            Some(LineState::Modified) => AccessLocality::Local,
-            Some(LineState::Shared) if !needs_m => AccessLocality::Local,
-            _ => AccessLocality::Boundary,
-        }
-    }
-
     /// Diagnostic access to the per-CPU L1 (tests).
     pub fn l1_of(&self, cpu: CpuId) -> &SetAssocCache {
         &self.l1[cpu.0]
@@ -693,97 +649,6 @@ impl MemSystem {
     /// Total network messages sent (diagnostic).
     pub fn network_messages(&self) -> u64 {
         self.net.total_messages()
-    }
-
-    /// Append the whole memory system's time-normalized behavioral state
-    /// to a memo digest, mirroring [`MemSystem::snapshot`]'s enumeration
-    /// minus monotone counters (captured by [`MemSystem::memo_counters`])
-    /// and absolute clocks: caches in recency order, non-Uncached
-    /// directory entries, live resource windows and MSHR fills as offsets
-    /// from `now`, and live classifier records. Roles and the
-    /// self-invalidation flag are run constants and excluded.
-    pub fn memo_digest(&self, now: Cycle, out: &mut Vec<u64>) {
-        for c in &self.l1 {
-            c.memo_digest(out);
-        }
-        for c in &self.l2 {
-            c.memo_digest(out);
-        }
-        for d in &self.dirs {
-            d.memo_digest(out);
-        }
-        self.net.memo_digest(now, out);
-        self.mem.memo_digest(now, out);
-        for table in &self.mshr {
-            let mut live: Vec<(u64, Cycle)> = table
-                .iter()
-                .filter(|&(_, &arrival)| arrival > now)
-                .map(|(l, &arrival)| (l.0, arrival - now))
-                .collect();
-            live.sort_unstable();
-            out.push(live.len() as u64);
-            for (l, off) in live {
-                out.push(l);
-                out.push(off);
-            }
-        }
-        self.classifier.memo_digest(now, out);
-    }
-
-    /// Advance every live time-bearing structure by `delta` — the memo
-    /// jump. Expired resource windows and dead MSHR entries stay put
-    /// (both are behaviorally inert for requests at or after `now`).
-    pub fn memo_shift(&mut self, now: Cycle, delta: Cycle) {
-        self.net.memo_shift(now, delta);
-        self.mem.memo_shift(now, delta);
-        for table in &mut self.mshr {
-            for arrival in table.values_mut() {
-                if *arrival > now {
-                    *arrival += delta;
-                }
-            }
-        }
-        self.classifier.memo_shift(delta);
-    }
-
-    /// Append every monotone memory-system counter to a memo counter
-    /// vector, in the same structural order as [`MemSystem::memo_digest`].
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        for c in &self.l1 {
-            c.memo_counters(out);
-        }
-        for c in &self.l2 {
-            c.memo_counters(out);
-        }
-        for d in &self.dirs {
-            d.memo_counters(out);
-        }
-        self.net.memo_counters(out);
-        self.mem.memo_counters(out);
-        out.push(self.l2_evictions);
-        out.push(self.l2_invalidations);
-        self.classifier.memo_counters(out);
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]` (layout of
-    /// [`MemSystem::memo_counters`]), advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        for c in &mut self.l1 {
-            c.memo_apply(delta, idx, k);
-        }
-        for c in &mut self.l2 {
-            c.memo_apply(delta, idx, k);
-        }
-        for d in &mut self.dirs {
-            d.memo_apply(delta, idx, k);
-        }
-        self.net.memo_apply(delta, idx, k);
-        self.mem.memo_apply(delta, idx, k);
-        self.l2_evictions += delta[*idx] * k;
-        *idx += 1;
-        self.l2_invalidations += delta[*idx] * k;
-        *idx += 1;
-        self.classifier.memo_apply(delta, idx, k);
     }
 
     /// Serialize the mutable memory-system state. Config-derived fields
@@ -899,48 +764,6 @@ mod tests {
         let r = ms.access(CpuId(0), addr, AccessKind::Load, 0, &mut st);
         assert!(!r.remote);
         assert_eq!(r.complete, 204 + 11); // 170 ns + lookups
-    }
-
-    #[test]
-    fn locality_peek_tracks_cache_state_without_mutating() {
-        let mut ms = sys();
-        let mut st = CpuStats::default();
-        let addr = shared_addr(&ms, 0);
-        // Cold: everything is a boundary crossing.
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Load),
-            AccessLocality::Boundary
-        );
-        // The peek must not have warmed anything.
-        let r = ms.access(CpuId(0), addr, AccessKind::Load, 0, &mut st);
-        assert!(!r.l1_hit);
-        // Warm load: local. A store still needs M state: boundary.
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Load),
-            AccessLocality::Local
-        );
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Store),
-            AccessLocality::Boundary
-        );
-        // After a store the line is Modified in the L2 bank: both local.
-        let r = ms.access(CpuId(0), addr, AccessKind::Store, r.complete, &mut st);
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Store),
-            AccessLocality::Local
-        );
-        // The sibling CPU has no L1 copy but shares the L2 bank: local.
-        assert_eq!(
-            ms.access_locality(CpuId(1), addr, AccessKind::Load),
-            AccessLocality::Local
-        );
-        // A CPU on another CMP would cross the boundary.
-        let far = CpuId(MachineConfig::paper().cpus_per_cmp * 2);
-        assert_eq!(
-            ms.access_locality(far, addr, AccessKind::Load),
-            AccessLocality::Boundary
-        );
-        let _ = r;
     }
 
     #[test]

@@ -77,35 +77,6 @@ impl Network {
         self.ni_out.iter().map(|r| r.transactions).sum()
     }
 
-    /// Append the time-normalized port state to a memo digest (output
-    /// ports, then input ports — snapshot order).
-    pub fn memo_digest(&self, now: Cycle, out: &mut Vec<u64>) {
-        for r in self.ni_out.iter().chain(self.ni_in.iter()) {
-            r.memo_digest(now, out);
-        }
-    }
-
-    /// Advance live port reservations by `delta` (memo jump).
-    pub fn memo_shift(&mut self, now: Cycle, delta: Cycle) {
-        for r in self.ni_out.iter_mut().chain(self.ni_in.iter_mut()) {
-            r.memo_shift(now, delta);
-        }
-    }
-
-    /// Append the monotone port counters to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        for r in self.ni_out.iter().chain(self.ni_in.iter()) {
-            r.memo_counters(out);
-        }
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        for r in self.ni_out.iter_mut().chain(self.ni_in.iter_mut()) {
-            r.memo_apply(delta, idx, k);
-        }
-    }
-
     /// Serialize the mutable port state. Derived latencies are rebuilt
     /// from config on restore, so only the resources are written.
     pub fn snapshot(&self, w: &mut snap::Writer) {

@@ -146,21 +146,6 @@ impl TimeBreakdown {
         }
     }
 
-    /// Append the per-class cycle counters to a memo counter vector
-    /// (monotone state captured as per-iteration deltas, not digested).
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.cycles);
-    }
-
-    /// Add `k` copies of the per-class deltas at `delta[*idx..]`,
-    /// advancing `*idx` — the replay of `k` skipped iterations.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        for c in &mut self.cycles {
-            *c += delta[*idx] * k;
-            *idx += 1;
-        }
-    }
-
     /// Serialize the per-class cycle array.
     pub fn snapshot(&self, w: &mut snap::Writer) {
         for c in self.cycles {
@@ -214,48 +199,6 @@ pub struct CpuStats {
 }
 
 impl CpuStats {
-    /// Append every counter (time breakdown first, then the scalar
-    /// counters in declaration order) to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        self.time.memo_counters(out);
-        out.extend_from_slice(&[
-            self.loads,
-            self.stores,
-            self.l1_hits,
-            self.l2_hits,
-            self.l2_misses,
-            self.stores_converted,
-            self.stores_skipped,
-            self.barriers,
-            self.recoveries,
-            self.watchdog_recoveries,
-            self.faults_injected,
-            self.demotions,
-        ]);
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]` (same order as
-    /// [`CpuStats::memo_counters`]), advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        self.time.memo_apply(delta, idx, k);
-        let mut take = |field: &mut u64| {
-            *field += delta[*idx] * k;
-            *idx += 1;
-        };
-        take(&mut self.loads);
-        take(&mut self.stores);
-        take(&mut self.l1_hits);
-        take(&mut self.l2_hits);
-        take(&mut self.l2_misses);
-        take(&mut self.stores_converted);
-        take(&mut self.stores_skipped);
-        take(&mut self.barriers);
-        take(&mut self.recoveries);
-        take(&mut self.watchdog_recoveries);
-        take(&mut self.faults_injected);
-        take(&mut self.demotions);
-    }
-
     /// Serialize all counters in declaration order.
     pub fn snapshot(&self, w: &mut snap::Writer) {
         self.time.snapshot(w);

@@ -31,7 +31,6 @@ use omp_ir::node::Program;
 use omp_ir::OpCounts;
 use slipstream::gate::analyze_config;
 use slipstream::runner::{run_program, RunOptions};
-use slipstream::stats_fingerprint;
 use slipstream::{AStreamPolicy, EngineMutation, ExecMode, FaultPlan, RecoveryPolicy, SlipSync};
 
 /// The four processor-usage modes of the paper's evaluation, with labels.
@@ -108,10 +107,6 @@ pub enum FailKind {
     SpuriousRecovery,
     /// Two identically-configured runs disagreed.
     NonDeterminism,
-    /// A memo-on rerun's full stats fingerprint diverged from the
-    /// memo-off run (certificate-soundness violation), or the memo-on
-    /// rerun failed outright.
-    MemoMismatch,
     /// A component panicked.
     Panic,
 }
@@ -128,7 +123,6 @@ impl FailKind {
             FailKind::AStreamIo => "a-stream-io",
             FailKind::SpuriousRecovery => "spurious-recovery",
             FailKind::NonDeterminism => "non-determinism",
-            FailKind::MemoMismatch => "memo-mismatch",
             FailKind::Panic => "panic",
         }
     }
@@ -144,7 +138,6 @@ impl FailKind {
             FailKind::AStreamIo,
             FailKind::SpuriousRecovery,
             FailKind::NonDeterminism,
-            FailKind::MemoMismatch,
             FailKind::Panic,
         ]
         .into_iter()
@@ -407,49 +400,6 @@ pub fn run_case(program: &Program, opts: &DiffOptions) -> CaseResult {
                         ),
                     ));
                 }
-                // Memoized-replay soundness: rerun with memo enabled and
-                // require a bit-identical stats fingerprint. Restricted to
-                // the non-slip modes (the memo never arms in slipstream
-                // mode) and to mutation-free harnesses (a seeded engine
-                // mutation also keeps the memo disarmed).
-                if !slip && opts.mutation == EngineMutation::None {
-                    let off_fp = stats_fingerprint(&summary);
-                    let memo_run = catch_unwind(AssertUnwindSafe(|| {
-                        run_program(program, &ro.clone().with_memo(true))
-                    }));
-                    match memo_run {
-                        Ok(Ok(m)) => {
-                            let on_fp = stats_fingerprint(&m);
-                            if on_fp != off_fp {
-                                let field = off_fp
-                                    .split_whitespace()
-                                    .zip(on_fp.split_whitespace())
-                                    .position(|(a, b)| a != b)
-                                    .map(|i| format!("stat{i}"))
-                                    .unwrap_or_else(|| "len".into());
-                                failures.push(fail(
-                                    FailKind::MemoMismatch,
-                                    &field,
-                                    format!(
-                                        "memo-on stats diverged at {field}: \
-                                         off [{off_fp}] vs on [{on_fp}] (diag {:?})",
-                                        m.raw.memo
-                                    ),
-                                ));
-                            }
-                        }
-                        Ok(Err(msg)) => failures.push(fail(
-                            FailKind::MemoMismatch,
-                            "error",
-                            format!("memo-on rerun failed: {msg}"),
-                        )),
-                        Err(_) => failures.push(fail(
-                            FailKind::MemoMismatch,
-                            "panic",
-                            "memo-on rerun panicked".into(),
-                        )),
-                    }
-                }
                 if opts.check_determinism && label == "slip-G0" && !faulted {
                     let rerun = catch_unwind(AssertUnwindSafe(|| run_program(program, &ro)));
                     match rerun {
@@ -598,34 +548,6 @@ mod tests {
         c.field = "stores".into();
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_eq!(FailKind::from_label("hang"), Some(FailKind::Hang));
-        assert_eq!(
-            FailKind::from_label("memo-mismatch"),
-            Some(FailKind::MemoMismatch)
-        );
         assert_eq!(FailKind::from_label("nope"), None);
-    }
-
-    #[test]
-    fn memo_rerun_is_clean_on_a_certified_replay_loop() {
-        // A serial iteration loop around a disjoint worksharing phase is
-        // exactly what the certifier licenses: the memo-on reruns inside
-        // run_case actually engage here and must stay fingerprint-clean.
-        let mut b = ProgramBuilder::new("memo-loop");
-        let a = b.shared_array("a", 64, 8);
-        let c = b.shared_array("c", 64, 8);
-        let i = b.var();
-        let t = b.var();
-        b.parallel(move |r| {
-            r.for_loop(t, 0, 8, move |it| {
-                it.par_for(None, i, 0, 33, move |body| {
-                    body.load(a, Expr::v(i));
-                    body.compute(4);
-                    body.store(c, Expr::v(i));
-                });
-            });
-        });
-        let res = run_case(&b.build(), &DiffOptions::campaign());
-        assert!(res.clean(), "unexpected failures: {:?}", res.failures);
-        assert_eq!(res.modes_completed, 4);
     }
 }

@@ -30,24 +30,13 @@ fn fixed_seed_campaign_is_clean_and_promotes_survivors() {
 }
 
 #[test]
-fn pinned_200_case_campaign_has_zero_memo_soundness_failures() {
-    // Memoized-replay soundness at scale: every case's single/double runs
-    // are rerun with `memo` on inside the differential harness, so a
-    // certificate that licenses an unsafe loop (or a replay jump that
-    // perturbs any statistic) surfaces here as a `memo-mismatch` repro.
+fn pinned_200_case_campaign_is_clean() {
+    // The CI-sized pinned campaign: every case runs single, double and
+    // both slipstream syncs against the trace oracle, with fault passes,
+    // so any divergence at scale surfaces here as a repro.
     let cfg = CampaignConfig::new(200, 0x51_1F_57_3A);
     let res = run_campaign(&cfg);
     assert_eq!(res.cases, 200);
-    let memo_failures: Vec<_> = res
-        .repros
-        .iter()
-        .filter(|r| r.failure.kind == omp_fuzz::FailKind::MemoMismatch)
-        .collect();
-    assert!(
-        memo_failures.is_empty(),
-        "certificate-soundness failures: {}",
-        res.summary_json()
-    );
     assert!(
         res.clean(),
         "unexplained divergences: {}",

@@ -152,15 +152,14 @@ pub fn trace_report(r: &RunResult) -> Option<String> {
 }
 
 /// Canonical fingerprint of everything a run reports, used by the
-/// golden-determinism regression tests, the differential fuzzer's
-/// memo-mismatch check, and the throughput harness. Two runs are
+/// golden-determinism regression tests, the snapshot-parity checks, and
+/// the throughput harness. Two runs are
 /// bit-identical iff their fingerprints are equal: the string covers the
 /// execution time, both time breakdowns, per-CPU cache/sync counters,
 /// user-level op totals for both streams, the fill classification,
 /// scheduler and resilience counters, and the machine-wide traffic
-/// counters. Observation-only diagnostics (traces, PDES scheduling
-/// stats, memo replay stats, processed-event and lock-acquisition
-/// counts) are deliberately outside the contract.
+/// counters. Observation-only diagnostics (traces, processed-event and
+/// lock-acquisition counts) are deliberately outside the contract.
 pub fn stats_fingerprint(s: &RunSummary) -> String {
     use dsm_sim::{ReqKind, FILL_CLASSES, TIME_CLASSES};
     let mut v: Vec<u64> = vec![s.exec_cycles];
@@ -259,8 +258,6 @@ mod tests {
                 stores_skipped: 0,
                 machine: dsm_sim::MachineCounters::default(),
                 trace: None,
-                pdes: Default::default(),
-                memo: Default::default(),
             },
         }
     }

@@ -7,7 +7,7 @@
 use crate::compile::{compile, CompiledProgram};
 use crate::exec::{Engine, EngineConfig, EngineMutation, RunResult};
 use crate::faults::FaultPlan;
-use crate::gate::{analysis, analyze_config, gate_program};
+use crate::gate::{analyze_config, gate_program};
 use crate::health::HealthPolicy;
 use crate::policy::{AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{AddressMap, Cycle, FillCounts, MachineConfig, TimeBreakdown, TimeClass};
@@ -64,24 +64,6 @@ pub struct RunOptions {
     /// Seeded engine-mutation class (fuzzer self-check only). The
     /// default, [`EngineMutation::None`], is the production engine.
     pub mutation: EngineMutation,
-    /// PDES worker threads for the simulation engine. `1` (the default)
-    /// is the serial fast path; `> 1` enables the per-CMP time-domain
-    /// scheduler. Results are bit-identical at every worker count. See
-    /// [`workers_from_env`] for the `SIM_WORKERS` resolution used by
-    /// harnesses.
-    pub workers: usize,
-    /// Override the PDES lookahead horizon in cycles (`None` derives it
-    /// from the machine's minimum remote-hop latency; `Some(0)` forces
-    /// lockstep window admission). Only meaningful with `workers > 1`.
-    pub lookahead: Option<Cycle>,
-    /// Memoized phase replay (default off). When on, replay-loop licenses
-    /// from the `omp-analyze` certification pass are compiled into a
-    /// [`crate::MemoPlan`] and the engine bulk-jumps converged iterations
-    /// of certified loops. Results are bit-identical to a memo-off run;
-    /// the engine arms the plan only for deterministic single/double runs
-    /// (no faults, mutation, noise, or tracing) and falls back to full
-    /// execution whenever the runtime guard contradicts a certificate.
-    pub memo: bool,
 }
 
 impl RunOptions {
@@ -102,16 +84,7 @@ impl RunOptions {
             gate: GateMode::Warn,
             max_cycles: None,
             mutation: EngineMutation::None,
-            workers: 1,
-            lookahead: None,
-            memo: false,
         }
-    }
-
-    /// Set the PDES worker count (`1` = serial fast path; floored at 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Cap the run at `cycles` simulated cycles (hang watchdog for
@@ -186,12 +159,6 @@ impl RunOptions {
         self.os_noise = Some(noise);
         self
     }
-
-    /// Enable memoized phase replay (certified-loop bulk jumps).
-    pub fn with_memo(mut self, on: bool) -> Self {
-        self.memo = on;
-        self
-    }
 }
 
 /// Everything a figure needs from one run.
@@ -227,28 +194,6 @@ impl RunSummary {
     pub fn r_fraction(&self, class: TimeClass) -> f64 {
         self.r_breakdown.fraction(class)
     }
-}
-
-/// Resolve the `SIM_WORKERS` environment variable into an engine worker
-/// count for a harness already running `pool_workers` simulations
-/// concurrently. Unset or unparsable means `1` (the serial fast path);
-/// `0` means "use all available parallelism". The result is clamped so
-/// `pool_workers × engine workers` never oversubscribes the host
-/// ([`dsm_sim::clamp_workers`]); the clamp respects `BENCH_WORKERS`
-/// when the caller passes a bound derived from it.
-pub fn workers_from_env(pool_workers: usize) -> usize {
-    let requested: usize = std::env::var("SIM_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1);
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    dsm_sim::clamp_workers(
-        dsm_sim::resolve_workers(requested, available),
-        pool_workers,
-        available,
-    )
 }
 
 fn mode_label(mode: ExecMode, sync: Option<SlipSync>) -> String {
@@ -290,21 +235,8 @@ pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, S
     let report = gate_program(program, opts.gate, &acfg)?;
     let map = AddressMap::new(&opts.machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
-    // Memoized replay needs the certification pass's replay-loop licenses;
-    // when the gate skipped analysis ([`GateMode::Allow`]), look the
-    // report up here just for the plan.
-    let memo = if opts.memo {
-        match &report {
-            Some(report) => crate::memo::build_plan(report, &cp),
-            None => crate::memo::build_plan(&analysis(program, &acfg), &cp),
-        }
-    } else {
-        crate::MemoPlan::default()
-    };
     let label = mode_label(opts.mode, opts.sync);
-    let mut cfg = engine_config(opts);
-    cfg.memo = memo;
-    let raw = Engine::new(&cp, cfg).run()?;
+    let raw = Engine::new(&cp, engine_config(opts)).run()?;
     let mut summary = summarize(program.name.clone(), label, raw);
     summary.analysis = report;
     Ok(summary)
@@ -326,8 +258,6 @@ fn engine_config(opts: &RunOptions) -> EngineConfig {
         cfg.max_cycles = mc;
     }
     cfg.mutation = opts.mutation;
-    cfg.workers = opts.workers.max(1);
-    cfg.lookahead = opts.lookahead;
     if let Some(sync) = opts.sync {
         // Route the synchronization choice through OMP_SLIPSTREAM, as the
         // paper's runtime does ("we changed the synchronization method as
@@ -401,8 +331,8 @@ pub fn checkpoint_compiled(
 
 /// Restore an engine from `snapshot` under `opts` and run it to
 /// completion. The options must describe the same simulation the
-/// snapshot was taken from, except for the PDES worker count/lookahead,
-/// the cycle/event budgets, and the fault plan — the latter only while
+/// snapshot was taken from, except for the cycle/event budgets and the
+/// fault plan — the latter only while
 /// no fault of the snapshotting plan had fired before the checkpoint
 /// (so a fault-free warmup forks into differently-faulted
 /// continuations).
