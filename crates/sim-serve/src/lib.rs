@@ -1,8 +1,8 @@
 //! Batch simulation daemon.
 //!
 //! A deterministic simulator spends most of a sweep re-deriving answers
-//! it has already computed: the same (kernel, mode, workers, fault
-//! seed) tuple is requested by `all_experiments`, by `analyze`, by a
+//! it has already computed: the same (kernel, mode, fault seed)
+//! tuple is requested by `all_experiments`, by `analyze`, by a
 //! soak shard, and by a developer at a prompt — four cold runs of one
 //! bit-reproducible result. `sim-serve` turns the simulator into a
 //! long-lived service so that work is shared:
